@@ -2,7 +2,8 @@
 
 Each benchmark regenerates the data behind one figure of the paper and prints
 the series it produces, so `pytest benchmarks/ --benchmark-only` doubles as
-the reproduction run recorded in EXPERIMENTS.md.  Heavy sweeps run with a
+a reproduction run next to `python -m repro.analysis.experiments --all`.
+Heavy sweeps run with a
 single round to keep the full harness in the minutes range.
 """
 

@@ -4,10 +4,12 @@ Every figure of the paper maps to one registered experiment.  Running
 
     python -m repro.analysis.experiments --all
 
-regenerates all of them and prints the series/tables recorded in
-EXPERIMENTS.md; individual experiments can be selected by id (``fig01`` ...
-``fig10``, ``claims``).  A ``--quick`` flag uses coarser grids and smaller
-sweeps so the full suite finishes in a couple of minutes on a laptop.
+regenerates all of them and prints their series and tables (the benchmark's
+``paper`` manifest records the fig09 and claims tables).  Individual
+experiments can be selected by id: ``fig01`` ... ``fig09`` and ``claims``,
+where ``fig09`` produces both Figure 9 and Figure 10.  A ``--quick`` flag
+uses coarser grids and smaller sweeps so the full suite finishes in a
+couple of minutes on a laptop.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Each ``figure..`` function returns a plain dictionary of numpy arrays /
 scalars containing exactly the series plotted in the corresponding figure of
 the paper.  The benchmark harness times and prints them; the experiment
-runner (:mod:`repro.analysis.experiments`) formats them into the tables
-recorded in EXPERIMENTS.md.  Keeping the data generation here, separate from
+runner (:mod:`repro.analysis.experiments`, ``--all`` for every figure)
+formats them into tables.  Keeping the data generation here, separate from
 any printing, also makes the figures easy to regenerate from a notebook.
 """
 

@@ -1,7 +1,9 @@
 """Plain-text rendering of experiment results.
 
 Formats the figure data produced by :mod:`repro.analysis.figures` into the
-ASCII tables and series recorded in EXPERIMENTS.md.  No plotting libraries
+ASCII tables and series that ``python -m repro.analysis.experiments --all``
+prints (the benchmark's ``paper`` manifest records the fig09 and claims
+tables).  No plotting libraries
 are used: the evaluation quantities of the paper are all one-dimensional
 series or small grids, which render fine as text.
 """

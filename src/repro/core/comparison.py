@@ -9,6 +9,8 @@ the radiation reduction percentage.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +36,13 @@ class ComparisonPoint:
 
     @property
     def satellite_reduction_factor(self) -> float:
-        """Walker satellites divided by SS satellites (>1 means SS wins)."""
+        """Walker satellites divided by SS satellites (>1 means SS wins).
+
+        Two empty designs tie (1.0); an empty SS design against a non-empty
+        Walker one wins without bound.
+        """
         if self.ss_satellites == 0:
-            return float("inf")
+            return 1.0 if self.walker_satellites == 0 else math.inf
         return self.walker_satellites / self.ss_satellites
 
     @property
@@ -88,19 +94,29 @@ class ComparisonSweep:
 
     def headline_claims(self) -> HeadlineClaims:
         """Derive the abstract's headline numbers from the sweep."""
-        if not self.points:
-            raise ValueError("the sweep contains no points")
         return HeadlineClaims(
-            max_satellite_reduction_factor=max(
+            max_satellite_reduction_factor=_max_skipping_nan(
                 p.satellite_reduction_factor for p in self.points
             ),
-            max_electron_reduction_percent=max(
+            max_electron_reduction_percent=_max_skipping_nan(
                 p.electron_reduction_percent for p in self.points
             ),
-            max_proton_reduction_percent=max(
+            max_proton_reduction_percent=_max_skipping_nan(
                 p.proton_reduction_percent for p in self.points
             ),
         )
+
+
+def _max_skipping_nan(values: Iterable[float]) -> float:
+    """Return the maximum of ``values``, skipping NaN.
+
+    An empty design (no satellites, below the demand floor) has NaN fluence,
+    so its reduction percentages are NaN; they carry no claim.
+    """
+    kept = [value for value in values if not math.isnan(value)]
+    if not kept:
+        raise ValueError("the sweep contains no non-empty points")
+    return max(kept)
 
 
 def run_comparison_sweep(

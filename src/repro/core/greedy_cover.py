@@ -19,7 +19,7 @@ branch also relieves more of the remaining demand elsewhere).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,26 +101,14 @@ class GreedySSPlaneDesigner:
             self.altitude_km, self.min_elevation_deg, self.street_half_width_fraction
         )
 
-    def _plane_for(self, latitude_deg: float, local_time_hours: float, ascending: bool) -> SSPlane:
-        """Return the SS-plane whose chosen branch crosses the given cell."""
-        probe = SSPlane(
-            altitude_km=self.altitude_km,
-            ltan_hours=0.0,
-            satellite_count=1,
-            min_elevation_deg=self.min_elevation_deg,
-            street_half_width_fraction=self.street_half_width_fraction,
-        )
+    def _plane_for(
+        self, template: SSPlane, latitude_deg: float, local_time_hours: float, ascending: bool
+    ) -> SSPlane:
+        """Return ``template`` moved to the LTAN whose chosen branch crosses the cell."""
         offset = plane_local_time_offset_hours(
-            math.radians(latitude_deg), probe.inclination_rad, ascending=ascending
+            math.radians(latitude_deg), template.inclination_rad, ascending=ascending
         )
-        ltan = (local_time_hours - offset) % 24.0
-        return SSPlane(
-            altitude_km=self.altitude_km,
-            ltan_hours=ltan,
-            satellite_count=self.satellites_per_plane(),
-            min_elevation_deg=self.min_elevation_deg,
-            street_half_width_fraction=self.street_half_width_fraction,
-        )
+        return replace(template, ltan_hours=(local_time_hours - offset) % 24.0)
 
     def _coverage_mask(self, plane: SSPlane, grid: LatLocalTimeGrid) -> np.ndarray:
         """Return (and cache) the plane's coverage mask on this grid geometry."""
@@ -147,19 +135,22 @@ class GreedySSPlaneDesigner:
         # background; it never drives real constellation sizing.
         remaining.values[remaining.values < self.demand_floor] = 0.0
 
-        # Clip reachable latitudes: cells poleward of the orbit's maximum
-        # latitude plus the street width can never be covered by this shell;
-        # treat them as out of scope exactly once so the loop terminates.
-        probe = SSPlane(
+        # Every plane shares this shell's geometry and satellite count; only
+        # the LTAN differs, so the template is built (and its inclination
+        # solved) once per design.
+        template = SSPlane(
             altitude_km=self.altitude_km,
             ltan_hours=0.0,
-            satellite_count=1,
+            satellite_count=self.satellites_per_plane(),
             min_elevation_deg=self.min_elevation_deg,
             street_half_width_fraction=self.street_half_width_fraction,
         )
+        # Clip reachable latitudes: cells poleward of the orbit's maximum
+        # latitude plus the street width can never be covered by this shell;
+        # treat them as out of scope exactly once so the loop terminates.
         max_lat_deg = math.degrees(
-            math.asin(min(1.0, abs(math.sin(probe.inclination_rad))))
-        ) + math.degrees(probe.street_half_width_rad)
+            math.asin(min(1.0, abs(math.sin(template.inclination_rad))))
+        ) + math.degrees(template.street_half_width_rad)
         unreachable = np.abs(remaining.latitudes_deg) > max_lat_deg
         clipped_demand = float(remaining.values[unreachable].sum())
         remaining.values[unreachable] = 0.0
@@ -175,7 +166,7 @@ class GreedySSPlaneDesigner:
             best_removed = -1.0
             for ascending in (True, False):
                 try:
-                    plane = self._plane_for(peak_lat, peak_time, ascending)
+                    plane = self._plane_for(template, peak_lat, peak_time, ascending)
                 except ValueError:
                     continue
                 mask = self._coverage_mask(plane, remaining)

@@ -7,6 +7,7 @@ satellite counts (Figure 9), the median per-satellite daily radiation fluence
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,9 @@ class ConstellationMetrics:
     plane_count:
         Number of orbital planes (SS design) or shells (Walker design).
     median_fluence:
-        Median per-satellite daily radiation fluence.
+        Median per-satellite daily radiation fluence (NaN with no satellites).
     mean_fluence:
-        Mean per-satellite daily radiation fluence.
+        Mean per-satellite daily radiation fluence (NaN with no satellites).
     satisfied:
         Whether the design fully covered its demand grid.
     """
@@ -61,52 +62,33 @@ class ConstellationMetrics:
 class MetricsCalculator:
     """Computes :class:`ConstellationMetrics` for SS-plane and Walker designs.
 
-    Radiation fluence only depends on a satellite's altitude, inclination and
-    (weakly, through SAA sampling) RAAN; the underlying
-    :class:`~repro.radiation.exposure.ExposureCalculator` caches accordingly,
-    so evaluating constellations with tens of thousands of satellites stays
-    cheap.
+    Every satellite of a plane or shell accumulates the same daily fluence,
+    so each design is evaluated as ``(representative elements, satellite
+    count)`` groups: one fluence per group, repeated per satellite only as
+    the arrays the median and mean are taken over.  The
+    :class:`~repro.radiation.exposure.ExposureCalculator` memoises fluences
+    per orbit, so a sweep of designs computes each distinct orbit once.
     """
 
     exposure: ExposureCalculator = field(default_factory=ExposureCalculator)
 
-    # -- generic helpers ---------------------------------------------------------
-
     def _fluence_stats(
-        self, satellites: list[OrbitalElements]
+        self, groups: list[tuple[OrbitalElements, int]]
     ) -> tuple[DailyFluence, DailyFluence]:
-        fluences = self.exposure.constellation_fluences(satellites)
-        electrons = np.array([f.electron for f in fluences])
-        protons = np.array([f.proton for f in fluences])
+        """Return the (median, mean) per-satellite fluence; NaN with no satellites."""
+        electrons, protons = self.exposure.group_fluences(groups)
+        if not electrons.size:
+            empty = DailyFluence(math.nan, math.nan)
+            return empty, empty
         median = DailyFluence(float(np.median(electrons)), float(np.median(protons)))
         mean = DailyFluence(float(np.mean(electrons)), float(np.mean(protons)))
         return median, mean
 
-    @staticmethod
-    def _representative_satellites(
-        groups: list[tuple[OrbitalElements, int]]
-    ) -> list[OrbitalElements]:
-        """Expand (representative element, count) groups into a satellite list.
-
-        Satellites within one plane or shell share their daily fluence, so one
-        representative per group repeated ``count`` times gives the same
-        median/mean statistics as enumerating every satellite individually.
-        """
-        satellites: list[OrbitalElements] = []
-        for elements, count in groups:
-            satellites.extend([elements] * count)
-        return satellites
-
-    # -- per-design entry points --------------------------------------------------
-
     def for_ssplane(self, result: GreedyCoverResult) -> ConstellationMetrics:
         """Return metrics of a greedy SS-plane design."""
-        groups = [
-            (plane.satellite_elements()[0], plane.satellite_count)
-            for plane in result.planes
-        ]
-        satellites = self._representative_satellites(groups)
-        median, mean = self._fluence_stats(satellites)
+        median, mean = self._fluence_stats(
+            [(plane.orbit.to_elements(), plane.satellite_count) for plane in result.planes]
+        )
         return ConstellationMetrics(
             design="ss-plane",
             total_satellites=result.total_satellites,
@@ -118,15 +100,18 @@ class MetricsCalculator:
 
     def for_walker(self, result: WalkerBaselineResult) -> ConstellationMetrics:
         """Return metrics of a demand-driven Walker baseline design."""
-        groups = []
-        for shell in result.shells:
-            representative = OrbitalElements.circular(
-                altitude_km=shell.altitude_km,
-                inclination_deg=shell.inclination_deg,
-            )
-            groups.append((representative, shell.satellite_count))
-        satellites = self._representative_satellites(groups)
-        median, mean = self._fluence_stats(satellites)
+        median, mean = self._fluence_stats(
+            [
+                (
+                    OrbitalElements.circular(
+                        altitude_km=shell.altitude_km,
+                        inclination_deg=shell.inclination_deg,
+                    ),
+                    shell.satellite_count,
+                )
+                for shell in result.shells
+            ]
+        )
         return ConstellationMetrics(
             design="walker",
             total_satellites=result.total_satellites,

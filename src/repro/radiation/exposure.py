@@ -9,6 +9,7 @@ per-satellite median of whole constellations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +62,13 @@ def _ecef_positions_over_day(
     return rotate_rows_about_z(positions_eci, gmst0_rad + EARTH_ROTATION_RATE * times)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExposureCalculator:
     """Accumulates daily radiation fluence along orbits.
+
+    Daily fluences are memoised per orbit key (see :meth:`_keyed_fluence`),
+    so one calculator shared by many designs computes each distinct orbit
+    once.
 
     Attributes
     ----------
@@ -81,6 +86,9 @@ class ExposureCalculator:
     step_s: float = 60.0
     electron_modulation: float = 1.0
     proton_modulation: float = 1.0
+    _fluences: dict[tuple[float, float, float], DailyFluence] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def daily_fluence(
         self,
@@ -107,37 +115,49 @@ class ExposureCalculator:
         )
         return self.daily_fluence(elements)
 
-    def constellation_fluences(self, satellites: list[OrbitalElements]) -> list[DailyFluence]:
-        """Return per-satellite daily fluences for a whole constellation.
+    def _keyed_fluence(self, elements: OrbitalElements) -> DailyFluence:
+        """Return the daily fluence of ``elements``, memoised per orbit key.
 
         Satellites sharing altitude, inclination and RAAN accumulate identical
         daily fluence (their phase within the plane only shifts *when* they
-        cross the belts, not how often), so results are cached per
-        (altitude, inclination, RAAN) triple to keep constellation-level
-        evaluations cheap.
+        cross the belts, not how often), so results are memoised per
+        (altitude, inclination, RAAN) triple for the calculator's lifetime.
         """
-        cache: dict[tuple[float, float, float], DailyFluence] = {}
-        results = []
-        for elements in satellites:
-            key = (
-                round(elements.altitude_km, 3),
-                round(elements.inclination_deg, 3),
-                round(elements.raan_deg, 1),
-            )
-            if key not in cache:
-                cache[key] = self.daily_fluence(elements)
-            results.append(cache[key])
-        return results
+        key = (
+            round(elements.altitude_km, 3),
+            round(elements.inclination_deg, 3),
+            round(elements.raan_deg, 1),
+        )
+        fluence = self._fluences.get(key)
+        if fluence is None:
+            fluence = self._fluences[key] = self.daily_fluence(elements)
+        return fluence
+
+    def group_fluences(
+        self, groups: Sequence[tuple[OrbitalElements, int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return per-satellite (electron, proton) fluences of orbit groups.
+
+        Each ``(elements, count)`` group stands for ``count`` satellites
+        sharing one orbit (a plane or shell); its fluence is computed once
+        and repeated ``count`` times, in group order.
+        """
+        fluences = [self._keyed_fluence(elements) for elements, _ in groups]
+        counts = [count for _, count in groups]
+        electron = np.repeat([f.electron for f in fluences], counts)
+        proton = np.repeat([f.proton for f in fluences], counts)
+        return electron, proton
+
+    def constellation_fluences(self, satellites: list[OrbitalElements]) -> list[DailyFluence]:
+        """Return per-satellite daily fluences for a whole constellation."""
+        return [self._keyed_fluence(elements) for elements in satellites]
 
     def median_constellation_fluence(self, satellites: list[OrbitalElements]) -> DailyFluence:
         """Return the median per-satellite fluence of a constellation (Figure 10)."""
         if not satellites:
             raise ValueError("constellation must contain at least one satellite")
-        fluences = self.constellation_fluences(satellites)
-        return DailyFluence(
-            electron=float(np.median([f.electron for f in fluences])),
-            proton=float(np.median([f.proton for f in fluences])),
-        )
+        electron, proton = self.group_fluences([(elements, 1) for elements in satellites])
+        return DailyFluence(float(np.median(electron)), float(np.median(proton)))
 
 
 def daily_fluence_vs_inclination(

@@ -6,14 +6,20 @@ on small/coarse instances (the benchmarks run the full-size versions).
 
 from __future__ import annotations
 
+import math
+import warnings
+from dataclasses import FrozenInstanceError, replace
+
+import numpy as np
 import pytest
 
-from repro.core.comparison import run_comparison_sweep
+from repro.core.comparison import ComparisonSweep, run_comparison_sweep
 from repro.core.designer import ConstellationDesigner
-from repro.core.metrics import MetricsCalculator
+from repro.core.metrics import ConstellationMetrics, MetricsCalculator
 from repro.core.rgt_baseline import rgt_vs_walker_sweep
 from repro.demand.spatiotemporal import SpatiotemporalDemandModel
-from repro.radiation.exposure import ExposureCalculator
+from repro.orbits.elements import OrbitalElements
+from repro.radiation.exposure import DailyFluence, ExposureCalculator
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +81,132 @@ class TestConstellationDesigner:
         assert low_ratio > high_ratio
 
 
+def _expanded_reference(exposure, design, groups, result, plane_count):
+    """Metrics the slow way: one list entry per satellite, then median/mean."""
+    satellites = []
+    for elements, count in groups:
+        satellites.extend([elements] * count)
+    fluences = exposure.constellation_fluences(satellites)
+    electrons = np.array([f.electron for f in fluences])
+    protons = np.array([f.proton for f in fluences])
+    return ConstellationMetrics(
+        design=design,
+        total_satellites=result.total_satellites,
+        plane_count=plane_count,
+        median_fluence=DailyFluence(float(np.median(electrons)), float(np.median(protons))),
+        mean_fluence=DailyFluence(float(np.mean(electrons)), float(np.mean(protons))),
+        satisfied=result.satisfied,
+    )
+
+
+def _ss_groups(result):
+    return [(plane.satellite_elements()[0], plane.satellite_count) for plane in result.planes]
+
+
+def _walker_groups(result):
+    return [
+        (
+            OrbitalElements.circular(
+                altitude_km=shell.altitude_km, inclination_deg=shell.inclination_deg
+            ),
+            shell.satellite_count,
+        )
+        for shell in result.shells
+    ]
+
+
+def _fluence_key(elements):
+    return (
+        round(elements.altitude_km, 3),
+        round(elements.inclination_deg, 3),
+        round(elements.raan_deg, 1),
+    )
+
+
+class TestGroupedMetrics:
+    @pytest.mark.parametrize("multiplier", [3.0, 12.0])
+    def test_matches_expanded_reference_exactly(self, coarse_designer, multiplier):
+        ss, walker = coarse_designer.design_both(multiplier)
+        reference = ExposureCalculator(step_s=180.0)
+        assert ss.metrics == _expanded_reference(
+            reference, "ss-plane", _ss_groups(ss.result), ss.result, ss.result.plane_count
+        )
+        assert walker.metrics == _expanded_reference(
+            reference,
+            "walker",
+            _walker_groups(walker.result),
+            walker.result,
+            walker.result.shell_count,
+        )
+
+    def test_plane_representative_is_first_satellite(self, coarse_designer):
+        result = coarse_designer.design_ssplane(5.0).result
+        for plane in result.planes:
+            assert plane.orbit.to_elements() == plane.satellite_elements()[0]
+
+    def test_one_daily_fluence_per_distinct_orbit(self, coarse_designer, monkeypatch):
+        ss, walker = coarse_designer.design_both(5.0)
+        calls = []
+        original = ExposureCalculator.daily_fluence
+
+        def counting(self, elements, *args, **kwargs):
+            calls.append(_fluence_key(elements))
+            return original(self, elements, *args, **kwargs)
+
+        monkeypatch.setattr(ExposureCalculator, "daily_fluence", counting)
+        calculator = MetricsCalculator(exposure=ExposureCalculator(step_s=180.0))
+        first = (calculator.for_ssplane(ss.result), calculator.for_walker(walker.result))
+        again = (calculator.for_ssplane(ss.result), calculator.for_walker(walker.result))
+        assert again == first
+        keys = {
+            _fluence_key(elements)
+            for elements, _ in _ss_groups(ss.result) + _walker_groups(walker.result)
+        }
+        assert sorted(calls) == sorted(keys)
+
+    def test_calculators_never_share_fluences(self):
+        elements = OrbitalElements.circular(560.0, 53.0)
+        coarse = ExposureCalculator(step_s=300.0)
+        coarse_electron, _ = coarse.group_fluences([(elements, 1)])
+        for fine in (ExposureCalculator(step_s=120.0), replace(coarse, step_s=120.0)):
+            fine_electron, _ = fine.group_fluences([(elements, 1)])
+            assert fine_electron[0] == fine.daily_fluence(elements).electron
+            assert fine_electron[0] != coarse_electron[0]
+        assert coarse_electron[0] == coarse.daily_fluence(elements).electron
+
+    def test_exposure_calculator_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            ExposureCalculator().step_s = 30.0
+
+
+class TestEmptyDesigns:
+    def test_empty_design_has_nan_fluence_without_warnings(self, coarse_designer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ss, walker = coarse_designer.design_both(0.001)
+        for outcome in (ss, walker):
+            assert outcome.total_satellites == 0
+            assert math.isnan(outcome.metrics.median_electron_fluence)
+            assert math.isnan(outcome.metrics.mean_fluence.proton)
+
+    def test_claims_independent_of_point_order(self, coarse_designer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = run_comparison_sweep((0.001, 3.0), designer=coarse_designer)
+            backward = run_comparison_sweep((3.0, 0.001), designer=coarse_designer)
+        empty = forward.points[0]
+        assert empty.satellite_reduction_factor == 1.0
+        assert math.isnan(empty.electron_reduction_percent)
+        claims = forward.headline_claims()
+        assert claims == backward.headline_claims()
+        assert not math.isnan(claims.max_electron_reduction_percent)
+
+    def test_all_empty_sweep_rejected(self, coarse_designer):
+        sweep = run_comparison_sweep((0.001,), designer=coarse_designer)
+        with pytest.raises(ValueError):
+            sweep.headline_claims()
+
+
 class TestComparisonSweep:
     def test_sweep_points_and_claims(self, coarse_designer):
         sweep = run_comparison_sweep((3.0, 10.0), designer=coarse_designer)
@@ -85,8 +217,6 @@ class TestComparisonSweep:
         assert claims.max_proton_reduction_percent > 0.0
 
     def test_empty_sweep_rejected(self):
-        from repro.core.comparison import ComparisonSweep
-
         with pytest.raises(ValueError):
             ComparisonSweep().headline_claims()
 

@@ -57,6 +57,18 @@ class TestExposureCalculator:
         # Same plane => identical daily fluence for every member.
         assert len({f.electron for f in fluences}) == 1
 
+    def test_group_fluences_repeat_in_group_order(self, exposure_calculator):
+        low = OrbitalElements.circular(560.0, 50.0)
+        high = OrbitalElements.circular(560.0, 80.0)
+        electron, proton = exposure_calculator.group_fluences([(low, 2), (high, 1), (low, 0)])
+        expected = exposure_calculator.constellation_fluences([low, low, high])
+        assert electron.tolist() == [f.electron for f in expected]
+        assert proton.tolist() == [f.proton for f in expected]
+
+    def test_group_fluences_of_no_groups_are_empty(self, exposure_calculator):
+        electron, proton = exposure_calculator.group_fluences([])
+        assert electron.shape == proton.shape == (0,)
+
     def test_median_constellation_fluence(self, exposure_calculator):
         satellites = [
             OrbitalElements.circular(560.0, 50.0),
