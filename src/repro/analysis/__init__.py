@@ -7,7 +7,6 @@ reads the JSON documents persisted by
 surfaces.
 """
 
-from .experiments import EXPERIMENTS, Experiment, run_experiment
 from .grid import GridDocument, load_grid
 from .report import format_grid_summary, format_series, format_table, scientific
 
@@ -22,3 +21,16 @@ __all__ = [
     "format_table",
     "scientific",
 ]
+
+# ``.experiments`` is loaded on first use rather than here, so that running it
+# as ``python -m repro.analysis.experiments`` does not find it already
+# imported by its own package (runpy warns about that).
+_EXPERIMENT_EXPORTS = frozenset({"EXPERIMENTS", "Experiment", "run_experiment"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPERIMENT_EXPORTS:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -182,7 +182,6 @@ class DemandDrivenWalkerDesigner:
         # background (tiny fractions of a satellite's capacity); it never
         # drives real constellation sizing and is excluded up front.
         remaining.values[remaining.values < self.demand_floor] = 0.0
-        clipped = 0.0
 
         while remaining.total() > 1e-9 and iterations < self.max_shells:
             iterations += 1
@@ -198,6 +197,6 @@ class DemandDrivenWalkerDesigner:
         return WalkerBaselineResult(
             shells=tuple(shells),
             total_satellites=total,
-            residual_demand=float(remaining.total()) + clipped,
+            residual_demand=float(remaining.total()),
             iterations=iterations,
         )

@@ -25,12 +25,19 @@ from ..constants import EARTH_MEAN_RADIUS_KM, HOURS_PER_DAY
 __all__ = ["LatLonGrid", "LatLocalTimeGrid"]
 
 
+def _cell_centre(
+    start: float, index: int | np.ndarray, step: float
+) -> float | np.ndarray:
+    """Return the centre of cell ``index`` (an int or an index array) of width ``step``."""
+    return start + (index + 0.5) * step
+
+
 def _cell_centres(start: float, stop: float, step: float) -> np.ndarray:
     """Return cell-centre coordinates for cells of width ``step`` in [start, stop]."""
     count = int(round((stop - start) / step))
     if count <= 0:
         raise ValueError("grid must contain at least one cell")
-    return start + (np.arange(count) + 0.5) * step
+    return _cell_centre(start, np.arange(count), step)
 
 
 def _divides_evenly(span: float, step: float, tol: float = 1e-9) -> bool:
@@ -243,8 +250,8 @@ class LatLocalTimeGrid:
         """Return (latitude_deg, local_time_hours, value) of the maximum cell."""
         row, col = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return (
-            float(self.latitudes_deg[row]),
-            float(self.local_times_hours[col]),
+            float(_cell_centre(-90.0, row, self.lat_resolution_deg)),
+            float(_cell_centre(0.0, col, self.time_resolution_hours)),
             float(self.values[row, col]),
         )
 

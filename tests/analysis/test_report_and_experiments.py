@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.experiments import EXPERIMENTS, main, run_experiment
 from repro.analysis.report import format_grid_summary, format_series, format_table, scientific
 
@@ -69,3 +75,28 @@ class TestExperimentRegistry:
         assert main(["fig02", "--quick"]) == 0
         captured = capsys.readouterr()
         assert "completed in" in captured.out
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        # The package must not import ``.experiments`` eagerly, or ``-m``
+        # warns that the module is already in ``sys.modules``.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.analysis.experiments",
+             "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
+    def test_package_exports_experiment_registry_lazily(self):
+        import repro.analysis as analysis
+
+        assert analysis.run_experiment is run_experiment
+        assert analysis.EXPERIMENTS is EXPERIMENTS
+        with pytest.raises(AttributeError):
+            analysis.no_such_export  # noqa: B018

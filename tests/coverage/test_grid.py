@@ -99,6 +99,23 @@ class TestLatLocalTimeGrid:
         assert peak_lat == pytest.approx(35.0, abs=1.0)
         assert peak_time == pytest.approx(20.5, abs=0.5)
 
+    @pytest.mark.parametrize(
+        "lat_resolution_deg, time_resolution_hours",
+        [(0.1, 0.1), (0.1, 1 / 3), (0.2, 0.25), (1 / 3, 1 / 3), (0.5, 0.5), (1.0, 1.0),
+         (2.0, 1 / 3), (6.0, 2.0)],
+    )
+    def test_peak_equals_cell_centre_arrays_exactly(
+        self, lat_resolution_deg, time_resolution_hours
+    ):
+        grid = LatLocalTimeGrid(lat_resolution_deg, time_resolution_hours)
+        latitudes, local_times = grid.latitudes_deg, grid.local_times_hours
+        # Walk the diagonal (wrapping) so every row and every column is the peak once.
+        for step in range(max(grid.n_lat, grid.n_time)):
+            row, col = step % grid.n_lat, step % grid.n_time
+            grid.values[row, col] = 1.0 + step
+            assert grid.peak() == (latitudes[row], local_times[col], grid.values[row, col])
+            grid.values[row, col] = 0.0
+
     def test_subtract_clamped(self):
         grid = LatLocalTimeGrid(lat_resolution_deg=30.0, time_resolution_hours=12.0)
         grid.values[:] = 0.5

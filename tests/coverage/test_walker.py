@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.constants import EARTH_RADIUS_KM
+from repro.coverage import walker
 from repro.coverage.footprint import coverage_half_angle_rad
 from repro.coverage.walker import (
+    PROBE_STRIDE,
     WalkerDelta,
     circular_positions_eci,
     coverage_fraction,
@@ -122,3 +124,124 @@ class TestSizing:
     def test_result_actually_covers(self):
         wd = minimum_walker_for_coverage(1215.0, 65.0, 25.0, grid_step_deg=6.0, time_samples=5)
         assert is_continuously_covered(wd, 25.0, grid_step_deg=6.0, time_samples=5)
+
+
+def reference_is_continuously_covered(
+    constellation, min_elevation_deg, lat_limit_deg=None, grid_step_deg=5.0, time_samples=8
+):
+    """Test-only oracle: the full-grid ``coverage_fraction`` of every snapshot."""
+    half_angle = coverage_half_angle_rad(constellation.altitude_km, min_elevation_deg)
+    if lat_limit_deg is None:
+        lat_limit_deg = min(constellation.inclination_deg, 180.0 - constellation.inclination_deg)
+    raan, phase = constellation.raan_and_phase_rad()
+    for sample in range(time_samples):
+        positions = circular_positions_eci(
+            constellation.altitude_km,
+            math.radians(constellation.inclination_deg),
+            raan,
+            phase + 2.0 * math.pi * sample / time_samples,
+        )
+        if coverage_fraction(
+            positions, half_angle, grid_step_deg=grid_step_deg, lat_limit_deg=lat_limit_deg
+        ) < 1.0:
+            return False
+    return True
+
+
+# The 1214.46 km repeat-ground-track altitude of the paper's Figure 1 sweep.
+RGT_ALTITUDE_KM = 1214.4648523658875
+
+
+class TestProbeVerdicts:
+    """The probe-first check returns the full-grid verdict on every pattern."""
+
+    @pytest.mark.parametrize("planes", [4, 8, 12, 16])
+    def test_sats_per_plane_divisible_by_time_samples(self, planes):
+        # 24 per plane with 6 samples: every sample is the same instant.
+        wd = WalkerDelta(RGT_ALTITUDE_KM, 65.0, total_satellites=24 * planes, planes=planes)
+        assert is_continuously_covered(
+            wd, 25.0, grid_step_deg=6.0, time_samples=6
+        ) == reference_is_continuously_covered(wd, 25.0, grid_step_deg=6.0, time_samples=6)
+
+    @pytest.mark.parametrize(
+        "altitude_km, inclination_deg, total, planes",
+        [
+            (RGT_ALTITUDE_KM, 65.0, 143, 11),
+            (RGT_ALTITUDE_KM, 65.0, 140, 10),
+            (560.0, 40.0, 350, 14),
+        ],
+    )
+    def test_probe_pass_full_fail_falls_back_to_full_grid(
+        self, altitude_km, inclination_deg, total, planes
+    ):
+        wd = WalkerDelta(altitude_km, inclination_deg, total_satellites=total, planes=planes)
+        lat_limit = min(inclination_deg, 180.0 - inclination_deg)
+        cos_half_angle = math.cos(coverage_half_angle_rad(altitude_km, 25.0))
+        raan, phase = wd.raan_and_phase_rad()
+        grid = walker._grid_unit_vectors(6.0, lat_limit)
+        probe = grid[::PROBE_STRIDE]
+        # Some snapshot passes the probe but leaves a full-grid point uncovered.
+        fallback_rejections = 0
+        for sample in range(6):
+            sat_units = walker._unit_rows(
+                circular_positions_eci(
+                    altitude_km,
+                    math.radians(inclination_deg),
+                    raan,
+                    phase + 2.0 * math.pi * sample / 6,
+                )
+            )
+            probe_ok = walker._covered_points(probe, sat_units, cos_half_angle).all()
+            grid_ok = walker._covered_points(grid, sat_units, cos_half_angle).all()
+            fallback_rejections += bool(probe_ok and not grid_ok)
+        assert fallback_rejections > 0
+        assert not is_continuously_covered(wd, 25.0, grid_step_deg=6.0, time_samples=6)
+        assert not reference_is_continuously_covered(wd, 25.0, grid_step_deg=6.0, time_samples=6)
+
+    def test_search_verdicts_match_reference(self, monkeypatch):
+        checked = []
+        original = walker.is_continuously_covered
+
+        def recording(constellation, *args, **kwargs):
+            verdict = original(constellation, *args, **kwargs)
+            checked.append((constellation, args, kwargs, verdict))
+            return verdict
+
+        monkeypatch.setattr(walker, "is_continuously_covered", recording)
+        best = minimum_walker_for_coverage(
+            RGT_ALTITUDE_KM, 65.0, 25.0, grid_step_deg=6.0, time_samples=6
+        )
+        assert (best.total_satellites, best.planes, best.phasing) == (144, 12, 1)
+        # The minimum and every candidate before it, in ascending total.
+        assert len(checked) == 138
+        totals = [constellation.total_satellites for constellation, *_ in checked]
+        assert totals == sorted(totals)
+        assert [verdict for *_, verdict in checked] == [False] * 137 + [True]
+        for constellation, args, kwargs, verdict in checked:
+            assert reference_is_continuously_covered(constellation, *args, **kwargs) == verdict
+
+    def test_default_lat_limit_matches_reference(self):
+        for wd in (
+            WalkerDelta(1215.0, 65.0, total_satellites=300, planes=15),
+            WalkerDelta(1215.0, 65.0, total_satellites=30, planes=5),
+            WalkerDelta(1215.0, 115.0, total_satellites=144, planes=12),
+        ):
+            assert is_continuously_covered(
+                wd, 25.0, grid_step_deg=8.0, time_samples=4
+            ) == reference_is_continuously_covered(wd, 25.0, grid_step_deg=8.0, time_samples=4)
+
+
+class TestGridCache:
+    def test_cached_grid_is_shared_and_read_only(self):
+        grid = walker._grid_unit_vectors(6.0, 65.0)
+        assert walker._grid_unit_vectors(6.0, 65.0) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+
+    def test_lat_limits_get_different_grids(self):
+        narrow = walker._grid_unit_vectors(6.0, 40.0)
+        wide = walker._grid_unit_vectors(6.0, 65.0)
+        assert narrow is not wide
+        assert len(narrow) < len(wide)
+        assert np.abs(narrow[:, 2]).max() < math.sin(math.radians(40.0))
+        assert np.abs(wide[:, 2]).max() > math.sin(math.radians(40.0))
