@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,9 @@ class DiurnalProfile:
         table_values = np.asarray(self.hourly_percent + (self.hourly_percent[0],))
         return np.interp(hours, table_hours, table_values)
 
+    @cached_property
     def _normalisation(self) -> float:
+        """Median of the raw curve over the day, computed once per profile."""
         sample_hours = np.linspace(0.0, HOURS_PER_DAY, 1440, endpoint=False)
         return float(np.median(self._raw(sample_hours)))
 
@@ -111,7 +114,7 @@ class DiurnalProfile:
         Accepts scalars or arrays; hours outside [0, 24) are wrapped.
         """
         hours = np.mod(np.asarray(local_time_hours, dtype=float), HOURS_PER_DAY)
-        values = self._raw(hours) / self._normalisation()
+        values = self._raw(hours) / self._normalisation
         if np.isscalar(local_time_hours):
             return float(values)
         return values

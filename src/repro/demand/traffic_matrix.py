@@ -153,14 +153,20 @@ class GravityTrafficModel:
     total_demand: float = 100.0
 
     def weights_at(self, utc_hour: float) -> np.ndarray:
-        """Return the diurnally modulated weight of each city at a UTC hour."""
-        weights = np.empty(len(self.cities))
-        for index, city in enumerate(self.cities):
-            local_time = (utc_hour + city.longitude_deg / 15.0) % 24.0
-            weights[index] = city.weight * float(
-                self.profile.fraction_of_median(local_time)
-            )
-        return weights
+        """Return the diurnally modulated weight of each city at a UTC hour.
+
+        Every city's local time and diurnal fraction come from one array
+        call over the profile.
+        """
+        count = len(self.cities)
+        longitudes = np.fromiter(
+            (city.longitude_deg for city in self.cities), dtype=float, count=count
+        )
+        weights = np.fromiter(
+            (city.weight for city in self.cities), dtype=float, count=count
+        )
+        local_times = (utc_hour + longitudes / 15.0) % 24.0
+        return weights * self.profile.fraction_of_median(local_times)
 
     def matrix_at(self, utc_hour: float) -> TrafficMatrix:
         """Return the gravity traffic matrix at a UTC hour."""

@@ -31,8 +31,10 @@ Two compilation paths produce identical systems:
   per-step capacity views do) and every flow carries
   :attr:`~repro.network.capacity.Flow.path_rows` -- the row-index paths an
   array-native routing backend reconstructs from its predecessor matrix.
-  Links are encoded, deduplicated and matched against the edge list
-  entirely in numpy, with no python tuple or string-ordered key in sight;
+  Each hop is matched to its link through a per-snapshot node-pair
+  lookup (:class:`~repro.network.backends.LinkLookup`) and links are
+  numbered by a rank over the used ones, entirely in numpy -- no sort over
+  the hops, and no python tuple or string-ordered key in sight;
 * the **graph path** handles any ``networkx``-style graph and label-only
   flows, walking each flow's links once (the same per-link python work the
   dict allocators' setup does) before the vectorised fixed point.
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import SnapshotEdgeList
+from .backends import LinkLookup, SnapshotEdgeList
 from .capacity import ALLOCATORS, AllocationResult, Flow, _link_key
 
 __all__ = [
@@ -171,57 +173,54 @@ def _missing_link_error(flows: list[Flow], flow_ids: np.ndarray, bad: np.ndarray
 class _EdgeListCompileCache:
     """Per-snapshot constants of the index compile path.
 
-    Everything that depends only on the edge list -- the sorted link-code
-    table, the capacity column in that order, and whether the label table
-    is *row-ordered* (numeric labels form an ascending prefix), which lets
-    link keys be emitted as plain ``(labels[lo], labels[hi])`` tuples
-    without a per-link :func:`_link_key` call -- is computed once and
-    cached on the capacity view, so a sweep evaluating many scenarios over
-    one snapshot pays it once.
+    Everything that depends only on the edge list -- the sorted link table
+    and its node-pair lookup (:class:`LinkLookup`), and the capacity column
+    in that order -- is computed once and cached on the capacity view, so a
+    sweep evaluating many scenarios over one snapshot pays it once.  Whether
+    the label table is *row-ordered* (numeric labels form an ascending
+    prefix), which lets link keys be emitted as plain
+    ``(labels[lo], labels[hi])`` tuples without a per-link :func:`_link_key`
+    call, is a per-label scan only link keys need, so it runs on first use.
     """
 
     __slots__ = (
         "edge_list",
         "node_count",
         "labels",
-        "sorted_codes",
+        "links",
         "sorted_capacity",
-        "sorted_rows",
-        "numeric_prefix",
-        "row_ordered",
+        "_label_order",
     )
 
     def __init__(self, edge_list: SnapshotEdgeList):
         self.edge_list = edge_list
-        labels = edge_list.labels
-        node_count = len(labels)
-        self.labels = labels
-        self.node_count = node_count
-        codes = (
-            np.minimum(edge_list.a, edge_list.b) * node_count
-            + np.maximum(edge_list.a, edge_list.b)
-        )
-        order = np.argsort(codes)
-        self.sorted_codes = codes[order]
-        self.sorted_capacity = edge_list.capacity_gbps[order].astype(float)
-        #: Sorted position -> edge-list row, so compiled links can be mapped
-        #: back to link-index order (the steering feedback signal's layout).
-        self.sorted_rows = order
-        numeric = np.fromiter(
-            (
-                isinstance(label, (int, float)) and not isinstance(label, bool)
-                for label in labels
-            ),
-            dtype=bool,
-            count=node_count,
-        )
-        prefix = int(np.argmin(numeric)) if not numeric.all() else node_count
-        self.numeric_prefix = prefix
-        prefix_values = np.array(labels[:prefix], dtype=float) if prefix else None
-        self.row_ordered = bool(
-            not numeric[prefix:].any()
-            and (prefix < 2 or bool((np.diff(prefix_values) >= 0).all()))
-        )
+        self.labels = edge_list.labels
+        self.node_count = len(edge_list.labels)
+        self.links = LinkLookup(edge_list)
+        self.sorted_capacity = edge_list.capacity_gbps[self.links.order].astype(float)
+        self._label_order: "tuple[int, bool] | None" = None
+
+    def label_order(self) -> tuple[int, bool]:
+        """Return ``(numeric_prefix, row_ordered)`` of the label table."""
+        if self._label_order is None:
+            labels = self.labels
+            node_count = self.node_count
+            numeric = np.fromiter(
+                (
+                    isinstance(label, (int, float)) and not isinstance(label, bool)
+                    for label in labels
+                ),
+                dtype=bool,
+                count=node_count,
+            )
+            prefix = int(np.argmin(numeric)) if not numeric.all() else node_count
+            prefix_values = np.array(labels[:prefix], dtype=float) if prefix else None
+            row_ordered = bool(
+                not numeric[prefix:].any()
+                and (prefix < 2 or bool((np.diff(prefix_values) >= 0).all()))
+            )
+            self._label_order = (prefix, row_ordered)
+        return self._label_order
 
 
 def _compile_cache(capacity_graph, edge_list: SnapshotEdgeList) -> _EdgeListCompileCache:
@@ -236,38 +235,45 @@ def _compile_cache(capacity_graph, edge_list: SnapshotEdgeList) -> _EdgeListComp
 
 
 def _match_links(
-    cache: _EdgeListCompileCache, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicate hop endpoint arrays into links matched to the edge list.
+    cache: _EdgeListCompileCache, u: np.ndarray, v: np.ndarray, missing_error
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match hop endpoint arrays to the edge list's links, without sorting hops.
 
-    Returns ``(unique_codes, link_ids, positions, matched)``: each hop's
-    undirected link encoded as one integer, deduplicated by :func:`np.unique`
-    (whose inverse yields the incidence columns), with ``positions`` indexing
-    the cache's sorted code/capacity tables and ``matched`` flagging links
-    actually present in the edge list.  Shared by both row compile paths so
-    object-engine and columnar systems are built by the identical code.
+    Returns ``(positions, link_ids)``: ``positions`` are the sorted-table
+    positions of the distinct links the hops use, ascending, and
+    ``link_ids[h]`` numbers hop ``h``'s link within them (the incidence
+    columns).  Each hop is looked up through the cache's
+    :class:`LinkLookup`; a used-mask over the E sorted positions and its
+    cumulative-sum rank then number the used links in link-code order --
+    the numbering :func:`np.unique` over the hop codes would give -- in
+    O(hops + E) gather/scatter passes.  When a hop has no link, the
+    exception ``missing_error(mask)`` builds from the per-hop mask of such
+    hops is raised.
+    Shared by both row compile paths so object-engine and columnar systems
+    are built by the identical code.
     """
-    codes = np.minimum(u, v) * cache.node_count + np.maximum(u, v)
-    unique_codes, link_ids = np.unique(codes, return_inverse=True)
-    positions = np.searchsorted(cache.sorted_codes, unique_codes)
-    in_range = positions < cache.sorted_codes.size
-    matched = np.zeros(unique_codes.size, dtype=bool)
-    matched[in_range] = cache.sorted_codes[positions[in_range]] == unique_codes[in_range]
-    positions = np.minimum(positions, max(cache.sorted_codes.size - 1, 0))
-    return unique_codes, link_ids, positions, matched
+    hop_positions = cache.links.positions(u, v)
+    missing = hop_positions < 0
+    if missing.any():
+        raise missing_error(missing)
+    used = np.zeros(cache.links.codes.size, dtype=bool)
+    used[hop_positions] = True
+    rank = np.cumsum(used, dtype=np.intp) - 1
+    return np.flatnonzero(used), rank[hop_positions]
 
 
-def _link_keys_of(cache: _EdgeListCompileCache, unique_codes: np.ndarray) -> tuple:
-    """Emit the normalised label-space key of every deduplicated link."""
+def _link_keys_of(cache: _EdgeListCompileCache, positions: np.ndarray) -> tuple:
+    """Emit the normalised label-space key of every matched link."""
     labels = cache.labels
     node_count = cache.node_count
-    los = (unique_codes // node_count).tolist()
-    his = (unique_codes % node_count).tolist()
-    if cache.row_ordered:
+    codes = cache.links.codes[positions]
+    los = (codes // node_count).tolist()
+    his = (codes % node_count).tolist()
+    prefix, row_ordered = cache.label_order()
+    if row_ordered:
         # A numeric ``lo`` endpoint means the row order already is the
         # normalised key order; only string-string links (absent from
         # satellite snapshots) need the python normalisation.
-        prefix = cache.numeric_prefix
         return tuple(
             (labels[lo], labels[hi])
             if lo < prefix
@@ -318,17 +324,16 @@ def _compile_from_rows(
                 f"flow {flow.name!r}: path_rows do not index this snapshot's "
                 "label table"
             )
-    unique_codes, link_ids, positions, matched = _match_links(cache, u, v)
     flow_ids = np.repeat(np.arange(len(flows), dtype=np.intp), counts)
-    if not matched.all():
-        raise _missing_link_error(flows, flow_ids, ~matched[link_ids])
-    capacity = cache.sorted_capacity[positions]
+    positions, link_ids = _match_links(
+        cache, u, v, lambda bad: _missing_link_error(flows, flow_ids, bad)
+    )
     return (
         flow_ids,
         link_ids,
-        capacity,
-        _link_keys_of(cache, unique_codes),
-        cache.sorted_rows[positions],
+        cache.sorted_capacity[positions],
+        _link_keys_of(cache, positions),
+        cache.links.order[positions],
     )
 
 
@@ -447,19 +452,20 @@ def compile_system_from_rows(
     nonempty = lengths > 0
     keep_u[offsets[1:][nonempty] - 1] = False
     keep_v[offsets[:-1][nonempty]] = False
-    unique_codes, link_ids, positions, matched = _match_links(
-        cache, rows[keep_u], rows[keep_v]
+    positions, link_ids = _match_links(
+        cache,
+        rows[keep_u],
+        rows[keep_v],
+        lambda bad: ValueError("a flow path uses a link not present in the snapshot"),
     )
-    if not matched.all():
-        raise ValueError("a flow path uses a link not present in the snapshot")
     return FlowLinkSystem(
         flow_names=None,
         demand=demand,
         capacity=cache.sorted_capacity[positions],
         flow_ids=np.repeat(np.arange(demand.size, dtype=np.intp), counts),
         link_ids=link_ids,
-        link_keys=_link_keys_of(cache, unique_codes) if with_keys else None,
-        link_rows=cache.sorted_rows[positions],
+        link_keys=_link_keys_of(cache, positions) if with_keys else None,
+        link_rows=cache.links.order[positions],
     )
 
 

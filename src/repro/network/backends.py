@@ -51,6 +51,7 @@ __all__ = [
     "NodeIndex",
     "EdgeArrays",
     "SnapshotEdgeList",
+    "LinkLookup",
     "RoutingBackend",
     "NetworkXBackend",
     "CSGraphBackend",
@@ -227,6 +228,59 @@ class SnapshotEdgeList:
         return graph
 
 
+class LinkLookup:
+    """One snapshot's links in sorted-code order, with a node-pair lookup.
+
+    Each undirected link is encoded as ``min(a, b) * n + max(a, b)`` over
+    endpoint rows; ``codes`` holds those codes ascending and ``order[k]`` is
+    the edge-list row of sorted position ``k``, so sorted positions number
+    links exactly as :func:`np.unique` over their codes would.
+    :meth:`positions` maps hop endpoint arrays to sorted positions through a
+    CSR matrix holding ``position + 1`` at ``[min, max]``: O(E) memory per
+    snapshot (never a nodes x nodes table) and one compiled search within
+    a row per hop, with no sort over the hops.  A link stored twice in the
+    edge list resolves to its first sorted position.
+    """
+
+    __slots__ = ("node_count", "codes", "order", "_pairs")
+
+    def __init__(self, edge_list: "SnapshotEdgeList"):
+        node_count = len(edge_list.labels)
+        self.node_count = node_count
+        lo = np.minimum(edge_list.a, edge_list.b).astype(np.intp)
+        hi = np.maximum(edge_list.a, edge_list.b).astype(np.intp)
+        codes = lo * node_count + hi
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.order = order
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = self.codes[1:] != self.codes[:-1]
+        stored = np.flatnonzero(first)
+        row_of = lo[order[stored]]
+        indptr = np.zeros(node_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row_of, minlength=node_count), out=indptr[1:])
+        self._pairs = _require_scipy().csr_matrix(
+            (stored + 1, hi[order[stored]], indptr), shape=(node_count, node_count)
+        )
+
+    def positions(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Sorted position of the link between rows ``u[i]`` and ``v[i]``.
+
+        Reads ``-1`` where the snapshot has no such link, including rows
+        outside ``[0, node_count)``.
+        """
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        if not lo.size:
+            return np.empty(0, dtype=np.intp)
+        if lo.min() < 0 or hi.max() >= self.node_count:
+            valid = (lo >= 0) & (hi < self.node_count)
+            positions = np.full(lo.size, -1, dtype=np.intp)
+            positions[valid] = self.positions(lo[valid], hi[valid])
+            return positions
+        return np.asarray(self._pairs[lo, hi], dtype=np.intp).reshape(-1) - 1
+
+
 def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArrays:
     """Export a snapshot graph to CSR edge arrays.
 
@@ -372,11 +426,15 @@ def bulk_path_rows_many(
 
     Returns ``(offsets, rows_buffer, latency_ms)`` in query order: path
     ``i`` occupies ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source
-    first, destination last).  Stacking every source's distance and
-    predecessor rows into one ``(sources, nodes)`` matrix lets a single
-    layer-by-layer walk advance *all* queries one hop per iteration, so
-    the Python-level work is O(longest path) across the whole batch
-    instead of O(sources) separate walks.
+    first, destination last).  Every source's predecessor row is stacked
+    into one flat ``(sources x nodes)`` successor table, so one walk
+    advances *all* queries one hop per iteration and the Python-level work
+    is O(longest path) across the whole batch.  The walk carries compacted
+    arrays of the still-pending queries only -- each layer is one gather
+    through the table and drops the queries whose source it reached -- so
+    its numpy work is O(total hops), not O(queries x longest path).  Each
+    recorded layer is then scattered into the buffer at a fixed distance
+    from its segments' ends.
     """
     group_of = np.asarray(group_of, dtype=np.intp)
     dest_rows = np.asarray(dest_rows, dtype=np.intp)
@@ -385,38 +443,41 @@ def bulk_path_rows_many(
     lengths = np.zeros(count, dtype=np.intp)
     if not tables:
         return np.zeros(count + 1, dtype=np.intp), np.empty(0, dtype=np.intp), latency
-    distances = np.stack([table._distances for table in tables])
-    predecessors = np.stack([table._predecessors for table in tables])
-    source_rows = np.array([table._source_row for table in tables], dtype=np.intp)
-    known = (group_of >= 0) & (dest_rows >= 0)
-    safe_group = np.where(known, group_of, 0)
-    safe_rows = np.where(known, dest_rows, 0)
-    reachable = known & np.isfinite(distances[safe_group, safe_rows])
-    latency[reachable] = distances[safe_group[reachable], safe_rows[reachable]]
-    # Walk predecessors for all reachable queries at once, recording each
-    # layer; depth[i] counts hops from destination i back to its source.
-    source_of = source_rows[safe_group]
-    cursor = safe_rows.copy()
-    depth = np.zeros(count, dtype=np.intp)
-    pending = reachable.copy()
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        pending = pending & (cursor != source_of)
-        if not pending.any():
-            break
-        layers.append((np.flatnonzero(pending), cursor[pending].copy()))
-        depth[pending] += 1
-        cursor[pending] = predecessors[safe_group[pending], cursor[pending]]
-    lengths[reachable] = depth[reachable] + 1
+    node_count = tables[0]._distances.size
+    distances = np.concatenate([table._distances for table in tables])
+    # Flat (sources x nodes) successor table of the walk: the flat position
+    # of each node's predecessor in the same source's row, -1 at the source
+    # itself (csgraph marks it with a negative predecessor).
+    predecessors = np.stack([table._predecessors for table in tables]).astype(np.intp)
+    row_starts = np.arange(len(tables), dtype=np.intp)[:, None] * node_count
+    step = np.where(predecessors >= 0, predecessors + row_starts, -1).ravel()
+    pending = np.flatnonzero((group_of >= 0) & (dest_rows >= 0))
+    cursor = group_of[pending] * node_count + dest_rows[pending]
+    found = distances[cursor]
+    reachable = np.isfinite(found)
+    pending, cursor = pending[reachable], cursor[reachable]
+    latency[pending] = found[reachable]
+    # Layer k records the flat position k hops before each pending query's
+    # destination; a query leaves the compacted arrays once its layer held
+    # its source, so lengths[i] is the number of layers that recorded it.
+    layer_queries: list[np.ndarray] = []
+    layer_cursors: list[np.ndarray] = []
+    while pending.size:
+        layer_queries.append(pending)
+        layer_cursors.append(cursor)
+        cursor = step[cursor]
+        moving = cursor >= 0
+        if not moving.all():
+            lengths[pending[~moving]] = len(layer_cursors)
+            pending, cursor = pending[moving], cursor[moving]
     offsets = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(lengths, out=offsets[1:])
     buffer = np.empty(int(offsets[-1]), dtype=np.intp)
-    # Each source sits at its segment's start; the layer recorded at walk
-    # step k holds the node depth[i]-k hops along path i, i.e. position
-    # offsets[i] + depth[i] - k (destination itself at k=0).
-    buffer[offsets[:-1][reachable]] = source_of[reachable]
-    for step, (where, nodes) in enumerate(layers):
-        buffer[offsets[:-1][where] + depth[where] - step] = nodes
+    # The node of layer k sits k + 1 places before its segment's end (the
+    # destination last, the source first).
+    ends = offsets[1:]
+    for back, (queries, cursors) in enumerate(zip(layer_queries, layer_cursors), 1):
+        buffer[ends[queries] - back] = cursors % node_count
     return offsets, buffer, latency
 
 

@@ -40,6 +40,8 @@ from typing import Callable
 import networkx as nx
 import numpy as np
 
+from .backends import LinkLookup
+
 __all__ = [
     "Flow",
     "AllocationResult",
@@ -120,31 +122,29 @@ class AllocationResult:
         whose endpoints are absent from the snapshot are skipped.  The loop
         runs over the *links the allocation touched*, never over flows.
         """
-        a, b = edge_list.a, edge_list.b
-        node_count = len(edge_list.labels)
-        out = np.zeros(len(a))
+        out = np.zeros(len(edge_list.a))
         if not self.link_utilisation:
             return out
-        codes = np.minimum(a, b) * node_count + np.maximum(a, b)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
         index_of = edge_list.node_index.index_of
-        used: list[int] = []
+        rows_u: list[int] = []
+        rows_v: list[int] = []
         values: list[float] = []
         for (u, v), value in self.link_utilisation.items():
             row_u = index_of(u)
             row_v = index_of(v)
             if row_u is None or row_v is None:
                 continue
-            lo, hi = (row_u, row_v) if row_u <= row_v else (row_v, row_u)
-            used.append(lo * node_count + hi)
+            rows_u.append(row_u)
+            rows_v.append(row_v)
             values.append(value)
-        if not used:
+        if not values:
             return out
-        positions = np.searchsorted(sorted_codes, np.asarray(used))
-        positions = np.minimum(positions, sorted_codes.size - 1)
-        present = sorted_codes[positions] == np.asarray(used)
-        out[order[positions[present]]] = np.asarray(values)[present]
+        links = LinkLookup(edge_list)
+        positions = links.positions(
+            np.asarray(rows_u, dtype=np.intp), np.asarray(rows_v, dtype=np.intp)
+        )
+        present = positions >= 0
+        out[links.order[positions[present]]] = np.asarray(values)[present]
         return out
 
 

@@ -206,8 +206,12 @@ def route_flow_table(
             path_offsets=np.zeros(1, dtype=np.intp),
             path_rows=np.empty(0, dtype=np.intp),
         )
-    unique_src, inverse = np.unique(table.src, return_inverse=True)
-    sources = [f"gs:{names[src]}" for src in unique_src.tolist()]
+    # Distinct sources in station-id order, and each flow's rank among them,
+    # from a presence mask over station ids (no sort over the flows).
+    present = np.zeros(len(names), dtype=bool)
+    present[table.src] = True
+    sources = [f"gs:{names[src]}" for src in np.flatnonzero(present).tolist()]
+    inverse = (np.cumsum(present, dtype=np.intp) - 1)[table.src]
     if route_cache is not None:
         tables = route_cache.routes_from_many(router, sources)
     else:
@@ -242,9 +246,9 @@ def route_flow_table(
     # Per-flow row into the stacked tables (-1 marks an unknown source, which
     # bulk_path_rows_many resolves to an unreachable empty segment).
     remap = np.full(len(exporters), -1, dtype=np.intp)
-    present = [group for group, routes in enumerate(exporters) if routes is not None]
-    remap[present] = np.arange(len(stacked))
-    group_of = remap[np.asarray(inverse, dtype=np.intp).reshape(count)]
+    known = [group for group, routes in enumerate(exporters) if routes is not None]
+    remap[known] = np.arange(len(stacked))
+    group_of = remap[inverse]
     path_offsets, path_rows, latency = bulk_path_rows_many(
         stacked, group_of, station_rows[table.dst]
     )

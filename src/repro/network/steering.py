@@ -74,7 +74,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .backends import SnapshotEdgeList
+from .backends import LinkLookup, SnapshotEdgeList
 
 __all__ = [
     "SteeringPolicy",
@@ -106,13 +106,6 @@ def link_codes(edge_list: SnapshotEdgeList) -> np.ndarray:
     )
 
 
-def _sorted_delay_table(edge_list: SnapshotEdgeList) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot (sorted link codes, delays in that order) lookup table."""
-    codes = link_codes(edge_list)
-    order = np.argsort(codes)
-    return codes[order], edge_list.delay_ms[order]
-
-
 def path_delays_from_rows(
     edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
@@ -123,7 +116,10 @@ def path_delays_from_rows(
     steered weights returns *steered* distances, which are routing
     preferences, not times -- latency statistics must be re-read from the
     real ``delay_ms`` column, which is exactly what this does, fully
-    vectorised.  Empty segments (unreachable flows) read ``inf``.
+    vectorised: each hop's link is found through the snapshot's
+    :class:`~repro.network.backends.LinkLookup` (the allocation compile
+    path's node-pair lookup, no sort over the hops), and its delay is
+    summed per path.  Empty segments (unreachable flows) read ``inf``.
     """
     offsets = np.asarray(offsets, dtype=np.intp)
     rows = np.asarray(rows, dtype=np.intp)
@@ -133,24 +129,19 @@ def path_delays_from_rows(
     nonempty = lengths > 0
     if not nonempty.any():
         return totals
-    sorted_codes, sorted_delay = _sorted_delay_table(edge_list)
-    n = len(edge_list.labels)
+    links = LinkLookup(edge_list)
     # Hop endpoints: drop each segment's last row (u) / first row (v).
     keep_u = np.ones(rows.size, dtype=bool)
     keep_v = np.ones(rows.size, dtype=bool)
     keep_u[offsets[1:][nonempty] - 1] = False
     keep_v[offsets[:-1][nonempty]] = False
-    u = rows[keep_u].astype(np.int64)
-    v = rows[keep_v].astype(np.int64)
-    hop_codes = np.minimum(u, v) * n + np.maximum(u, v)
-    positions = np.searchsorted(sorted_codes, hop_codes)
-    positions = np.minimum(positions, max(sorted_codes.size - 1, 0))
-    if sorted_codes.size == 0 or not (sorted_codes[positions] == hop_codes).all():
+    positions = links.positions(rows[keep_u], rows[keep_v])
+    if (positions < 0).any():
         raise ValueError("a path uses a link not present in the edge list")
     hop_counts = np.maximum(lengths - 1, 0)
     flow_of = np.repeat(np.arange(count, dtype=np.intp), hop_counts)
     totals[nonempty] = np.bincount(
-        flow_of, weights=sorted_delay[positions], minlength=count
+        flow_of, weights=edge_list.delay_ms[links.order[positions]], minlength=count
     )[nonempty]
     return totals
 

@@ -70,6 +70,20 @@ def _consolidate(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return unique, np.bincount(inverse, weights=values, minlength=unique.size)
 
 
+def _merge_sorted_unique(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Union of two sorted arrays of unique keys, without re-sorting.
+
+    Equals :func:`np.union1d` of the two.  One search into ``left`` drops
+    the keys of ``right`` it already holds, and one search into the rest
+    places ``left``'s keys among them -- no sort of the combined keys.
+    """
+    if not left.size:
+        return right
+    at = np.searchsorted(left, right)
+    fresh = right[left[np.minimum(at, left.size - 1)] != right]
+    return np.insert(fresh, np.searchsorted(fresh, left), left)
+
+
 class PairStore(ABC):
     """Accumulator of non-negative values keyed by int64 pair codes."""
 
@@ -230,7 +244,8 @@ class CountMinPairStore(PairStore):
         self._refresh_candidates(keys)
 
     def _refresh_candidates(self, fresh_keys: np.ndarray) -> None:
-        pool = np.union1d(self._candidates, fresh_keys)
+        """Re-cut the candidate set from its union with sorted unique keys."""
+        pool = _merge_sorted_unique(self._candidates, fresh_keys)
         if pool.size > self._top_capacity:
             estimates = self.estimate_many(pool)
             # Preselect with argpartition (O(pool)), widened to ties at the

@@ -60,6 +60,17 @@ class TestDiurnalProfile:
         for index, hour in enumerate((3.0, 12.0, 21.0)):
             assert array[index] == pytest.approx(profile.fraction_of_median(hour))
 
+    def test_normalisation_computed_once_and_exact(self):
+        profile = DiurnalProfile()
+        hours = np.linspace(0.0, 24.0, 1440, endpoint=False)
+        first = profile.fraction_of_median(hours)
+        # The day's median is cached on the (frozen) profile after first use
+        # and equals a fresh computation bit for bit.
+        assert "_normalisation" in vars(profile)
+        assert profile._normalisation == float(np.median(profile._raw(hours)))
+        np.testing.assert_array_equal(profile.fraction_of_median(hours), first)
+        assert profile == DiurnalProfile()
+
 
 class TestSyntheticDataset:
     def test_shapes(self):

@@ -68,3 +68,42 @@ class TestGravityModel:
         assert loaded.total() == pytest.approx(100.0, rel=1e-6)
         # The original grid is untouched.
         assert grid.total() == 0.0
+
+
+class TestVectorisedWeights:
+    """weights_at evaluates every city in one array call; the per-city
+    scalar loop it replaced is the oracle, to the last bit."""
+
+    @staticmethod
+    def scalar_weights(model: GravityTrafficModel, utc_hour: float) -> np.ndarray:
+        weights = np.empty(len(model.cities))
+        for index, city in enumerate(model.cities):
+            local_time = (utc_hour + city.longitude_deg / 15.0) % 24.0
+            weights[index] = city.weight * float(
+                model.profile.fraction_of_median(local_time)
+            )
+        return weights
+
+    def test_matches_scalar_loop_at_every_half_hour(self):
+        model = GravityTrafficModel()
+        for step in range(48):
+            utc_hour = step * 0.5
+            np.testing.assert_array_equal(
+                model.weights_at(utc_hour), self.scalar_weights(model, utc_hour)
+            )
+
+    def test_negative_longitudes_and_day_wrap(self):
+        cities = tuple(
+            City(f"c{index}", 0.0, longitude, 1.0 + index)
+            for index, longitude in enumerate(
+                (-180.0, -179.99, -74.0, -0.1, -1e-12, 0.0, 7.5, 139.7, 179.99, 180.0)
+            )
+        )
+        model = GravityTrafficModel(cities=cities)
+        for utc_hour in (0.0, 1e-9, 0.25, 11.9, 12.0, 23.5, 23.999999, 24.0, 30.5, -2.0):
+            np.testing.assert_array_equal(
+                model.weights_at(utc_hour), self.scalar_weights(model, utc_hour)
+            )
+
+    def test_no_cities(self):
+        assert GravityTrafficModel(cities=()).weights_at(3.0).shape == (0,)

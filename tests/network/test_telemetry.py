@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.network import telemetry
 from repro.network.telemetry import (
     TELEMETRY,
     AutoTelemetry,
@@ -22,6 +23,7 @@ from repro.network.telemetry import (
     PairStore,
     PairTelemetry,
     SketchTelemetry,
+    _merge_sorted_unique,
     get_telemetry,
     merge_stores,
 )
@@ -149,6 +151,68 @@ class TestCountMinPairStore:
             clone.estimate_many(probe), sketch.estimate_many(probe)
         )
         assert clone.top(5) == sketch.top(5)
+
+
+class TestCandidateMerge:
+    """The candidate refresh merges sorted unique keys without re-sorting;
+    :func:`np.union1d` is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_merge_equals_union1d(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            left = np.unique(rng.integers(-50, 50, size=int(rng.integers(0, 40))))
+            right = np.unique(rng.integers(-50, 50, size=int(rng.integers(0, 40))))
+            got = _merge_sorted_unique(left, right)
+            want = np.union1d(left, right)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_disjoint_nested_and_identical_sets(self):
+        keys = np.array([2, 5, 9], dtype=np.int64)
+        cases = (
+            (keys, keys),
+            (keys, np.array([0, 1], dtype=np.int64)),
+            (keys, np.array([10, 11], dtype=np.int64)),
+            (keys, np.array([5], dtype=np.int64)),
+            (np.empty(0, dtype=np.int64), keys),
+            (keys, np.empty(0, dtype=np.int64)),
+        )
+        for left, right in cases:
+            np.testing.assert_array_equal(
+                _merge_sorted_unique(left, right), np.union1d(left, right)
+            )
+
+    def _run(self):
+        keys, values = skewed_stream(seed=31, size=30_000, distinct=3_000)
+        first = CountMinPairStore(width=1024, depth=4, seed=0, top_capacity=24)
+        second = CountMinPairStore(width=1024, depth=4, seed=0, top_capacity=24)
+        trail = []
+        # Later batches land on a non-empty candidate set, and merges fold
+        # one candidate set into another.
+        for index, start in enumerate(range(0, keys.size, 3_000)):
+            store = first if index % 2 else second
+            store.observe(keys[start : start + 3_000], values[start : start + 3_000])
+            trail.append((store._candidates.copy(), store.top(10)))
+            if index % 3 == 2:
+                first.merge(second)
+                trail.append((first._candidates.copy(), first.top(24)))
+        small = CountMinPairStore(width=1024, depth=4, seed=0, top_capacity=500)
+        small.observe([7, 3, 7], [1.0, 2.0, 0.5])
+        small.observe([4, 3], [1.0, 1.0])
+        small.merge(first)
+        trail.append((small._candidates.copy(), small.top(50)))
+        return trail
+
+    def test_observe_and_merge_sequence_matches_union1d_oracle(self, monkeypatch):
+        got = self._run()
+        monkeypatch.setattr(telemetry, "_merge_sorted_unique", np.union1d)
+        want = self._run()
+        assert len(got) == len(want)
+        for (got_keys, got_top), (want_keys, want_top) in zip(got, want):
+            assert got_keys.dtype == want_keys.dtype
+            np.testing.assert_array_equal(got_keys, want_keys)
+            assert got_top == want_top
 
 
 class TestMergeStores:
