@@ -14,16 +14,25 @@ with a simple greedy loop:
 This module implements that loop, with the plane's LTAN chosen so that either
 its ascending or its descending branch crosses the peak cell (whichever
 branch also relieves more of the remaining demand elsewhere).
+
+The loop runs thousands of iterations over only a few dozen distinct peak
+cells, so its work is organised per cell rather than per iteration: the
+first time a cell is the peak, a per-call *candidate table* stores, for each
+branch, the plane through it and the flat indices of the grid cells that
+plane covers.  Every later visit to that cell only gathers and updates the
+remaining demand at those indices.  Coverage masks are computed once per
+distinct LTAN (to the second) within one call; nothing is cached across
+calls, so changing the designer's attributes between calls is safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..coverage.grid import LatLocalTimeGrid
+from ..coverage.grid import LatLocalTimeGrid, _cell_centre
 from .ssplane import SSPlane, plane_local_time_offset_hours, satellites_per_plane
 
 __all__ = ["GreedyCoverResult", "GreedySSPlaneDesigner"]
@@ -91,9 +100,6 @@ class GreedySSPlaneDesigner:
     street_half_width_fraction: float = 0.5
     demand_floor: float = 0.01
     max_planes: int = 20000
-    _mask_cache: dict[tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def satellites_per_plane(self) -> int:
         """Return the per-plane satellite count used by this designer."""
@@ -110,22 +116,12 @@ class GreedySSPlaneDesigner:
         )
         return replace(template, ltan_hours=(local_time_hours - offset) % 24.0)
 
-    def _coverage_mask(self, plane: SSPlane, grid: LatLocalTimeGrid) -> np.ndarray:
-        """Return (and cache) the plane's coverage mask on this grid geometry."""
-        key = (
-            int(round(plane.ltan_hours * 3600.0)),
-            grid.n_lat,
-            grid.n_time,
-        )
-        if key not in self._mask_cache:
-            self._mask_cache[key] = plane.coverage_mask(grid)
-        return self._mask_cache[key]
-
     def design(self, demand: LatLocalTimeGrid) -> GreedyCoverResult:
         """Run the greedy covering loop of Section 4.2 on a demand grid.
 
         The input grid is not modified; demand is expressed in multiples of a
-        single satellite's capacity.
+        single satellite's capacity.  The candidate table and the masks it
+        holds live for this call only.
         """
         remaining = demand.copy()
         planes: list[SSPlane] = []
@@ -155,34 +151,48 @@ class GreedySSPlaneDesigner:
         clipped_demand = float(remaining.values[unreachable].sum())
         remaining.values[unreachable] = 0.0
 
+        # ``copy()`` returns C-contiguous values, so ``flat`` is a view: every
+        # update through it is seen by ``remaining.total()``.
+        flat = remaining.values.reshape(-1)
+        n_time = remaining.values.shape[1]
+        # peak flat index -> [(plane, covered flat indices)] per reachable
+        # branch, ascending first; masks are shared by LTAN (to the second).
+        candidates: dict[int, list[tuple[SSPlane, np.ndarray]]] = {}
+        covered_by_ltan: dict[int, np.ndarray] = {}
         while remaining.total() > 1e-9 and iterations < self.max_planes:
             iterations += 1
-            peak_lat, peak_time, peak_value = remaining.peak()
-            if peak_value <= 1e-9:
+            peak = int(flat.argmax())
+            if flat[peak] <= 1e-9:
                 break
-            # Try both branches through the peak cell and keep the one that
-            # removes the most remaining demand.
-            best_plane = None
-            best_removed = -1.0
-            for ascending in (True, False):
-                try:
-                    plane = self._plane_for(template, peak_lat, peak_time, ascending)
-                except ValueError:
-                    continue
-                mask = self._coverage_mask(plane, remaining)
-                removed = float(np.minimum(remaining.values, 1.0)[mask].sum())
-                if removed > best_removed:
-                    best_removed = removed
-                    best_plane = plane
-            if best_plane is None:
+            branches = candidates.get(peak)
+            if branches is None:
+                branches = candidates[peak] = []
+                row, col = divmod(peak, n_time)
+                peak_lat = float(_cell_centre(-90.0, row, remaining.lat_resolution_deg))
+                peak_time = float(_cell_centre(0.0, col, remaining.time_resolution_hours))
+                for ascending in (True, False):
+                    try:
+                        plane = self._plane_for(template, peak_lat, peak_time, ascending)
+                    except ValueError:
+                        continue
+                    key = int(round(plane.ltan_hours * 3600.0))
+                    if key not in covered_by_ltan:
+                        covered_by_ltan[key] = np.flatnonzero(plane.coverage_mask(remaining))
+                    branches.append((plane, covered_by_ltan[key]))
+            if not branches:
                 # Peak cell unreachable (should have been clipped); zero it out.
-                row, col = remaining.index_of(peak_lat, peak_time)
-                clipped_demand += float(remaining.values[row, col])
-                remaining.values[row, col] = 0.0
+                clipped_demand += float(flat[peak])
+                flat[peak] = 0.0
                 continue
+            # Keep the branch through the peak cell that removes the most
+            # remaining demand (the ascending one on a tie: ``max`` keeps the
+            # first).  The index arrays hold the covered cells in row-major
+            # order, so each sum is the one a boolean-mask gather would give.
+            best_plane, best_covered = max(
+                branches, key=lambda branch: float(np.minimum(flat[branch[1]], 1.0).sum())
+            )
             planes.append(best_plane)
-            mask = self._coverage_mask(best_plane, remaining)
-            remaining.values[mask] = np.maximum(remaining.values[mask] - 1.0, 0.0)
+            flat[best_covered] = np.maximum(flat[best_covered] - 1.0, 0.0)
 
         total_satellites = sum(plane.satellite_count for plane in planes)
         return GreedyCoverResult(

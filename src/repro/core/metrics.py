@@ -15,6 +15,7 @@ import numpy as np
 from ..orbits.elements import OrbitalElements
 from ..radiation.exposure import DailyFluence, ExposureCalculator
 from .greedy_cover import GreedyCoverResult
+from .ssplane import SSPlane
 from .walker_baseline import WalkerBaselineResult
 
 __all__ = ["ConstellationMetrics", "MetricsCalculator"]
@@ -85,10 +86,19 @@ class MetricsCalculator:
         return median, mean
 
     def for_ssplane(self, result: GreedyCoverResult) -> ConstellationMetrics:
-        """Return metrics of a greedy SS-plane design."""
-        median, mean = self._fluence_stats(
-            [(plane.orbit.to_elements(), plane.satellite_count) for plane in result.planes]
-        )
+        """Return metrics of a greedy SS-plane design.
+
+        A greedy design adds the same plane many times over, so the elements
+        are built once per distinct plane; the group list keeps one entry per
+        plane, in order.
+        """
+        elements: dict[SSPlane, OrbitalElements] = {}
+        groups = []
+        for plane in result.planes:
+            if plane not in elements:
+                elements[plane] = plane.orbit.to_elements()
+            groups.append((elements[plane], plane.satellite_count))
+        median, mean = self._fluence_stats(groups)
         return ConstellationMetrics(
             design="ss-plane",
             total_satellites=result.total_satellites,

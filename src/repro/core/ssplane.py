@@ -178,46 +178,47 @@ class SSPlane:
         and weighted by ``cos(latitude)`` so that the street has a constant
         *surface* width at every latitude (which is what the satellites'
         footprints actually provide).
+
+        The whole grid is evaluated as one (rows x columns) broadcast of the
+        per-row expressions.  The greedy designer calls this once per distinct
+        LTAN it tries and keeps the covered cells as flat index arrays in its
+        per-call candidate table.
         """
-        latitudes_rad = np.radians(grid.latitudes_deg)
-        local_times = grid.local_times_hours
+        latitudes_deg = grid.latitudes_deg
+        latitudes_rad = np.radians(latitudes_deg)
         street_deg = math.degrees(self.street_half_width_rad)
-
         ascending, descending = self.path_local_time_hours(latitudes_rad)
-        mask = np.zeros((grid.n_lat, grid.n_time), dtype=bool)
-        cos_lat = np.cos(latitudes_rad)
-        lat_step_deg = grid.lat_resolution_deg
 
+        # Width of the street measured along the local-time axis, wider at
+        # high latitude where time-of-day lines converge.
+        margin_deg = street_deg + grid.lat_resolution_deg / 2.0
+        half_width_hours = (
+            margin_deg / np.maximum(np.cos(latitudes_rad), 1e-3) * HOURS_PER_DAY / 360.0
+            + grid.time_resolution_hours / 2.0
+        )
+
+        # Latitudes beyond the orbit's reach are covered only within the
+        # street of the appropriate turnaround point: a quarter orbit away
+        # from the ascending node (the sign depends on whether the orbit is
+        # prograde or retrograde).
         max_lat_deg = math.degrees(
             math.asin(min(1.0, abs(math.sin(self.inclination_rad))))
         )
-        # Local times of the northern / southern turnaround points: a quarter
-        # orbit away from the ascending node (the sign depends on whether the
-        # orbit is prograde or retrograde).
         quarter = 6.0 if math.cos(self.inclination_rad) >= 0 else -6.0
         north_turn_time = (self.ltan_hours + quarter) % HOURS_PER_DAY
         south_turn_time = (self.ltan_hours - quarter) % HOURS_PER_DAY
+        beyond_reach = np.isnan(ascending)
+        turn_times = np.where(latitudes_deg > 0, north_turn_time, south_turn_time)
+        ascending = np.where(beyond_reach, turn_times, ascending)
+        descending = np.where(beyond_reach, turn_times, descending)
+        in_street = ~beyond_reach | (np.abs(latitudes_deg) <= max_lat_deg + street_deg)
 
-        for row in range(grid.n_lat):
-            margin_deg = street_deg + lat_step_deg / 2.0
-            # Width of the street measured along the local-time axis, wider at
-            # high latitude where time-of-day lines converge.
-            half_width_hours = (
-                margin_deg / max(cos_lat[row], 1e-3) * HOURS_PER_DAY / 360.0
-                + grid.time_resolution_hours / 2.0
-            )
-            pass_times = [t for t in (ascending[row], descending[row]) if not np.isnan(t)]
-            if not pass_times:
-                # Latitudes beyond the orbit's reach are covered only within
-                # the street of the appropriate turnaround point.
-                latitude_deg = grid.latitudes_deg[row]
-                if abs(latitude_deg) <= max_lat_deg + street_deg:
-                    pass_times = [north_turn_time if latitude_deg > 0 else south_turn_time]
-                else:
-                    continue
-            for pass_time in pass_times:
-                delta = np.abs((local_times - pass_time + 12.0) % HOURS_PER_DAY - 12.0)
-                mask[row, :] |= delta <= half_width_hours
+        local_times = grid.local_times_hours[None, :]
+        mask = np.zeros((grid.n_lat, grid.n_time), dtype=bool)
+        for pass_times in (ascending, descending):
+            delta = np.abs((local_times - pass_times[:, None] + 12.0) % HOURS_PER_DAY - 12.0)
+            mask |= delta <= half_width_hours[:, None]
+        mask &= in_street[:, None]
         return mask
 
     def covers(self, latitude_deg: float, local_time_hours: float, grid: LatLocalTimeGrid) -> bool:

@@ -54,7 +54,7 @@ def _divides_evenly(span: float, step: float, tol: float = 1e-9) -> bool:
     return round(ratio) >= 1 and abs(round(ratio) - ratio) < tol
 
 
-@dataclass
+@dataclass(eq=False)
 class LatLonGrid:
     """A regular Earth-fixed latitude x longitude grid of scalar values.
 
@@ -162,7 +162,7 @@ class LatLonGrid:
         return LatLonGrid(resolution_deg=self.resolution_deg, values=self.values.copy())
 
 
-@dataclass
+@dataclass(eq=False)
 class LatLocalTimeGrid:
     """A sun-fixed latitude x local-time-of-day grid of scalar values.
 
@@ -243,8 +243,12 @@ class LatLocalTimeGrid:
     # -- aggregation and arithmetic ---------------------------------------------
 
     def total(self) -> float:
-        """Return the sum of all cell values."""
-        return float(np.sum(self.values))
+        """Return the sum of all cell values.
+
+        The greedy cover tests this once per iteration; the method call is the
+        same reduction as ``np.sum`` without its dispatch wrapper.
+        """
+        return float(self.values.sum())
 
     def peak(self) -> tuple[float, float, float]:
         """Return (latitude_deg, local_time_hours, value) of the maximum cell."""

@@ -89,3 +89,21 @@ class TestGreedyCover:
         assert result.plane_count == 2
         assert not result.satisfied
         assert result.residual_demand > 0.0
+
+
+class TestReusedDesigner:
+    @pytest.mark.parametrize(
+        "attribute, value", [("min_elevation_deg", 40.0), ("street_half_width_fraction", 0.3)]
+    )
+    def test_changed_street_is_not_served_stale_masks(self, attribute, value):
+        # A block of demand on a fine local-time axis: which LTANs cover it
+        # depends on how many columns the street spans.
+        grid = LatLocalTimeGrid(lat_resolution_deg=2.0, time_resolution_hours=1.0 / 3.0)
+        band = (grid.latitudes_deg > 20.0) & (grid.latitudes_deg < 50.0)
+        grid.values[band, 24:48] = 1.5
+        reused = GreedySSPlaneDesigner()
+        first = reused.design(grid)
+        setattr(reused, attribute, value)
+        fresh = GreedySSPlaneDesigner(**{attribute: value})
+        assert reused.design(grid) == fresh.design(grid)
+        assert GreedySSPlaneDesigner().design(grid) == first

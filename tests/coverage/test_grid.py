@@ -132,3 +132,23 @@ class TestLatLocalTimeGrid:
         copy = grid.copy()
         copy.values[:] = 9.0
         assert grid.total() == 0.0
+
+
+class TestGridIdentity:
+    """Grids compare by identity: ``==`` on their value arrays would be ambiguous."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LatLonGrid(resolution_deg=30.0),
+            lambda: LatLocalTimeGrid(lat_resolution_deg=30.0, time_resolution_hours=12.0),
+        ],
+    )
+    def test_equality_and_membership_do_not_raise(self, make):
+        grid, twin = make(), make()
+        assert grid == grid
+        assert grid != twin
+        assert grid != grid.copy()
+        assert grid in [twin, grid]
+        assert grid not in [twin]
+        assert len({grid, twin}) == 2
