@@ -16,8 +16,9 @@ whole-array numpy operations:
 
 Every quantity of the allocators is then a sparse matrix-vector product:
 link loads are ``A.T @ rates`` (``np.bincount`` over ``link_ids`` weighted
-by ``rates[flow_ids]``), per-link unfrozen-flow counts are ``A.T @ active``,
-and "flows touching a saturated link" is ``A @ saturated > 0``.  Max-min
+by ``rates[flow_ids]``), per-link unfrozen-flow counts are ``A.T @ active``
+(kept as integers and decremented as flows freeze), and "flows touching a
+saturated link" is ``A @ saturated > 0`` (a boolean scatter).  Max-min
 progressive filling becomes a waterfilling fixed point: the uniform
 increment is the minimum over links of headroom over active-flow count
 (and over flows of remaining demand), frozen flows are boolean masks, and
@@ -126,24 +127,11 @@ class FlowLinkSystem:
             self.link_ids, weights=rates[self.flow_ids], minlength=self.link_count
         )
 
-    def link_counts(self, flow_mask: np.ndarray) -> np.ndarray:
-        """Return per-link count of masked flows ``A.T @ mask``, shape ``(L,)``."""
-        return np.bincount(
-            self.link_ids,
-            weights=flow_mask[self.flow_ids].astype(float),
-            minlength=self.link_count,
-        )
-
     def flows_touching(self, link_mask: np.ndarray) -> np.ndarray:
         """Return the boolean flow mask ``A @ link_mask > 0``, shape ``(F,)``."""
-        return (
-            np.bincount(
-                self.flow_ids,
-                weights=link_mask[self.link_ids].astype(float),
-                minlength=self.flow_count,
-            )
-            > 0
-        )
+        touched = np.zeros(self.flow_count, dtype=bool)
+        touched[self.flow_ids[link_mask[self.link_ids]]] = True
+        return touched
 
     def link_utilisation_array(
         self, utilisation: np.ndarray, edge_count: int
@@ -505,11 +493,27 @@ def _solve_proportional(system: FlowLinkSystem) -> tuple[np.ndarray, np.ndarray]
 def _solve_max_min(
     system: FlowLinkSystem, iterations: "int | None" = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-min waterfilling fixed point; returns ``(rates, utilisation)``."""
+    """Max-min waterfilling fixed point; returns ``(rates, utilisation)``.
+
+    Each round computes each per-link quantity once.  The link loads of a
+    round's final rates serve both its saturation test and the next round's
+    headroom (freezing never changes rates).  The per-link active-flow
+    counts are exact integers, decremented by the traversals of the flows
+    each round freezes.  Rates never fall, so loads never fall and a
+    saturated link stays saturated; every active flow on it froze in the
+    round it saturated, so each round only scatters the links that
+    saturated in it.
+    """
     demand, capacity = system.demand, system.capacity
+    flow_ids, link_ids = system.flow_ids, system.link_ids
     link_count = system.link_count
     rates = np.zeros(system.flow_count)
     frozen = demand == 0.0
+    demand_floor = demand - 1e-9
+    capacity_floor = capacity - 1e-9
+    counts = np.bincount(link_ids[~frozen[flow_ids]], minlength=link_count)
+    load = system.link_loads(rates)
+    saturated = np.zeros(link_count, dtype=bool)
     rounds = 0
     while iterations is None or rounds < iterations:
         rounds += 1
@@ -521,38 +525,43 @@ def _solve_max_min(
         increment = float(remaining[binding_flow])
         binding_link: int | None = None
         if link_count:
-            counts = system.link_counts(active)
-            load = system.link_loads(rates)
             live = counts > 0
             if live.any():
-                shares = np.full(link_count, np.inf)
-                shares[live] = (capacity[live] - load[live]) / counts[live]
+                shares = np.divide(
+                    capacity - load,
+                    counts,
+                    out=np.full(link_count, np.inf),
+                    where=live,
+                )
                 candidate = int(np.argmin(shares))
                 if shares[candidate] < increment:
                     increment = float(shares[candidate])
                     binding_link = candidate
         if increment <= 1e-12:
             increment = 0.0
-        rates[active] += increment
-        newly = active & (rates >= demand - 1e-9)
+        np.add(rates, increment, out=rates, where=active)
+        newly = active & (rates >= demand_floor)
         if link_count:
-            saturated = system.link_loads(rates) >= capacity - 1e-9
-            newly |= active & system.flows_touching(saturated)
-        if newly.any():
-            frozen |= newly
-            continue
-        # No tolerance fired: freeze the binding constraint directly (its
-        # headroom cannot recover) instead of spinning without progress.
-        if binding_link is not None:
-            on_link = np.zeros(system.flow_count, dtype=bool)
-            on_link[system.flow_ids[system.link_ids == binding_link]] = True
-            frozen |= on_link
-        else:
-            frozen[binding_flow] = True
+            load = system.link_loads(rates)
+            now_saturated = load >= capacity_floor
+            fresh = now_saturated > saturated
+            if fresh.any():
+                saturated = now_saturated
+                newly |= active & system.flows_touching(fresh)
+        if not newly.any():
+            # No tolerance fired: freeze the binding constraint directly (its
+            # headroom cannot recover) instead of spinning without progress.
+            if binding_link is not None:
+                newly[flow_ids[link_ids == binding_link]] = True
+                newly &= active
+            else:
+                newly[binding_flow] = True
+        frozen |= newly
+        if link_count:
+            counts -= np.bincount(link_ids[newly[flow_ids]], minlength=link_count)
 
     utilisation = np.zeros(link_count)
     if link_count:
-        load = system.link_loads(rates)
         positive = capacity > 0.0
         utilisation[positive] = load[positive] / capacity[positive]
         # Zero-capacity links with demand trying to cross are saturated,

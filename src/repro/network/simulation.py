@@ -547,7 +547,9 @@ def _sweep_process_worker(
     state, so the merged aggregate pickles back cheaply).  Adaptive
     steering controllers are created here and replay every step in order,
     so feedback state -- and therefore results -- are bit-identical to the
-    serial path.  Instrumented specs get a worker-local tracer whose
+    serial path; like there, a steered scenario whose step leaves the
+    weights untouched routes on its group's shared router and route cache.
+    Instrumented specs get a worker-local tracer whose
     :class:`RunMetrics` travel back with the results (durations are
     worker-local; counters, call counts and size gauges are deterministic,
     so they merge to exactly the serial values).
@@ -570,6 +572,16 @@ def _sweep_process_worker(
     tracers = {
         spec.scenario.name: Tracer() for spec in specs if spec.instrument
     }
+    # Every (group, backend) gets a shared router and route cache, steered
+    # consumers included: a steered step routes on them whenever steering
+    # is idle.  The exception is a graph backend whose only consumers steer:
+    # a shared router would build the very graph their private path builds,
+    # so they keep routing privately.
+    shared_keys = {
+        (spec.group_index, spec.backend)
+        for spec in specs
+        if spec.steering is None or get_backend(spec.backend).uses_arrays
+    }
     for step, utc_hour in enumerate(utc_hours):
         matrix = matrix_cache.matrix_at(utc_hour)
         routers: dict = {}
@@ -580,12 +592,10 @@ def _sweep_process_worker(
             controller = controllers.get(name)
             tracer = tracers.get(name, NULL_TRACER)
             key = (spec.group_index, spec.backend)
-            # Adaptive scenarios route on private steered snapshots, so the
-            # shared (and shared-cache) router is only built for open-loop
-            # consumers of this (group, backend).  The first spec of a
-            # (group, backend) pays -- and records -- the snapshot build.
+            # The first spec of a (group, backend) pays -- and records -- the
+            # snapshot build.
             with tracer.span("snapshot"):
-                if controller is None and key not in routers:
+                if key in shared_keys and key not in routers:
                     edges = edge_lists[spec.group_index][step]
                     backend = get_backend(spec.backend)
                     if backend.uses_arrays:
@@ -755,10 +765,12 @@ class NetworkSimulator:
         policies close the control loop: each scenario carries one
         :class:`~repro.network.steering.SteeringController` across the run,
         the allocation stage exports per-link utilisation, and the next
-        step routes on feedback-steered weights.  Reported latencies are
-        always true (unsteered) path delays, and ``"static"`` / ``None``
-        bypass the controller machinery entirely, so open-loop results are
-        bit-identical to pre-steering builds.
+        step routes on feedback-steered weights.  A step whose steering
+        leaves every weight untouched routes on its snapshot group's shared
+        route tables, so an idle controller costs no extra search.
+        Reported latencies are always true (unsteered) path delays, and
+        ``"static"`` / ``None`` bypass the controller machinery entirely, so
+        open-loop results are bit-identical to pre-steering builds.
 
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
@@ -909,9 +921,9 @@ class NetworkSimulator:
         # (bit-identical to graph allocation -- the process workers have
         # always done exactly this), so groups whose every scenario routes
         # array-natively skip per-step nx.Graph maintenance entirely.
-        # Adaptive-steering scenarios never consume the shared graph either:
-        # they route on private steered snapshots derived from the edge-list
-        # export, whatever their backend.
+        # Adaptive-steering scenarios never need the graph stream: they
+        # allocate over the edge-list export, and a graph-backend group with
+        # no open-loop consumer has no shared router (see below).
         streams = {
             group: sequence.graphs(
                 copy=False,
@@ -938,6 +950,9 @@ class NetworkSimulator:
         # One route cache per (snapshot group, backend) for the whole sweep,
         # reset at every step: route tables never outlive their snapshot --
         # and fault-perturbed groups never share tables with healthy ones.
+        # Adaptive scenarios share their key's cache on every step whose
+        # steering leaves the weights untouched; only a step that steers
+        # routes privately (see :meth:`_evaluate_scenario_step`).
         router_keys = {
             scenario.name: (
                 frozenset(station_subsets[scenario.name]),
@@ -988,17 +1003,20 @@ class NetworkSimulator:
                 }
                 routers: dict = {}
                 for scenario in scenarios:
-                    # Adaptive scenarios route on private steered snapshots
-                    # built inside the step evaluation; only open-loop
-                    # consumers share a (group, backend) router.
-                    if controllers.get(scenario.name) is not None:
-                        continue
+                    # Every (group, backend) routes through one shared router,
+                    # steered consumers included.  A graph backend needs the
+                    # group's graph stream, which exists only with an
+                    # open-loop consumer; without one, steered scenarios
+                    # keep routing privately on the edge list's own graph.
                     key = router_keys[scenario.name]
-                    if key not in routers:
-                        group = key[:2]
+                    group = key[:2]
+                    backend_of = effective_backends[scenario.name]
+                    if key not in routers and (
+                        backend_of.uses_arrays or group in step_graphs
+                    ):
                         routers[key] = SnapshotRouter(
                             step_graphs.get(group),
-                            backend=effective_backends[scenario.name],
+                            backend=backend_of,
                             arrays=step_arrays.get(group),
                         )
                 for cache in route_caches.values():
@@ -1037,11 +1055,7 @@ class NetworkSimulator:
                         scenario,
                         station_subsets[scenario.name],
                         utc_hour,
-                        # Steered routes depend on per-scenario feedback
-                        # state, so adaptive scenarios never share tables.
-                        route_cache=(
-                            None if controller is not None else route_caches[key]
-                        ),
+                        route_cache=route_caches[key],
                         satellites_up_fraction=(
                             schedule.satellites_up_fraction(index)
                             if schedule is not None
@@ -1496,9 +1510,15 @@ class NetworkSimulator:
 
         ``flow_engine`` is the sweep default; :attr:`Scenario.flow_engine`
         overrides it per scenario.  With an adaptive ``steering_controller``
-        the step routes on a *private* router over the controller-steered
-        snapshot (shared routers and route caches hold open-loop tables
-        that must not see per-scenario feedback state); allocation and all
+        the route tables follow the weights the step actually routes on.
+        When :meth:`~repro.network.steering.SteeringController.steer`
+        returns its input unchanged, the step routes on the shared
+        ``router`` and ``route_cache`` like an open-loop scenario -- each
+        source's table depends only on the snapshot, so it is bitwise the
+        table a private router would compute.  When steering changes the
+        weights (or no shared ``router`` was supplied), the step routes on
+        a *private* router over the steered snapshot, with no cache: those
+        tables carry per-scenario feedback state.  Allocation and all
         reported statistics still run against the unsteered capacities and
         delays.  Returns the step statistics plus the step's station-pair
         and per-link telemetry collections (``None`` when absent).
@@ -1516,11 +1536,14 @@ class NetworkSimulator:
                 )
             with obs.span("steering"):
                 steered = steering_controller.steer(edge_list)
-                if getattr(backend, "uses_arrays", False):
-                    router = SnapshotRouter(backend=backend, arrays=steered.arrays())
-                else:
-                    router = SnapshotRouter(steered.graph(), backend=backend)
-            route_cache = None
+                if steered is not edge_list or router is None:
+                    if getattr(backend, "uses_arrays", False):
+                        router = SnapshotRouter(
+                            backend=backend, arrays=steered.arrays()
+                        )
+                    else:
+                        router = SnapshotRouter(steered.graph(), backend=backend)
+                    route_cache = None
         if obs.enabled:
             obs.counter("steps")
         if flow_engine == "columnar":
@@ -1670,9 +1693,9 @@ class NetworkSimulator:
         the *same columnar selection* through the reference stages, so
         results are identical either way.  An adaptive
         ``steering_controller`` arrives *after* :meth:`steer` -- the caller
-        already swapped ``router`` for the steered one -- so this stage
-        only closes the loop: export utilisation, re-read true latencies,
-        :meth:`observe`.
+        already swapped ``router`` for a steered one where steering changed
+        the weights -- so this stage only closes the loop: export
+        utilisation, re-read true latencies, :meth:`observe`.
         """
         obs = tracer if tracer is not None else NULL_TRACER
         with obs.span("flow_selection"):

@@ -54,6 +54,25 @@ class TestConstellationDesigner:
         assert outcome.metrics.total_satellites > 0
         assert outcome.metrics.design == "walker"
 
+    @pytest.mark.parametrize("multiplier", [3.0, 5.0])
+    def test_design_both_builds_one_grid(self, coarse_designer, monkeypatch, multiplier):
+        expected = (
+            coarse_designer.design_ssplane(multiplier),
+            coarse_designer.design_walker(multiplier),
+        )
+        builds = []
+        original = SpatiotemporalDemandModel.latitude_time_grid
+
+        def counting(model, *args, **kwargs):
+            builds.append(kwargs.get("bandwidth_multiplier"))
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(SpatiotemporalDemandModel, "latitude_time_grid", counting)
+        outcomes = coarse_designer.design_both(multiplier)
+        assert builds == [multiplier]
+        assert outcomes[0] == expected[0]
+        assert outcomes[1] == expected[1]
+
     def test_ss_uses_fewer_satellites_than_walker(self, coarse_designer):
         # The paper's Figure 9 headline: SS-plane designs need fewer
         # satellites than the Walker baseline at the same demand.
